@@ -477,7 +477,7 @@ pub fn print_payload_passes() {
     // Warm the session/metadata paths, then measure a small put (the
     // fixed per-op overhead) and a 64 KiB put.
     controller
-        .put(&client, "warm", b"w".to_vec(), None, None, &[])
+        .put(&client, "warm", b"w", None, None, &[])
         .unwrap();
     let measure = |key: &str, value: Vec<u8>| {
         let before = pesos_crypto::sha256::ops::compressions();

@@ -816,22 +816,6 @@ impl ControllerCluster {
         }
     }
 
-    /// Single-shot variant of [`ControllerCluster::with_owner`] for the
-    /// paths that move their value into the operation (a retry would have
-    /// nothing left to send). Used when replication is off — without a
-    /// backup to promote there is nowhere useful to retry a put anyway,
-    /// and this keeps the replication-free put path copy-free.
-    fn with_owner_once<R>(
-        &self,
-        key: &HashedKey<'_>,
-        f: impl FnOnce(&RoutingState, &Arc<PesosController>) -> Result<R, PesosError>,
-    ) -> Result<R, PesosError> {
-        let _gate = self.ops_gate.read();
-        let routing = self.routing.read().clone();
-        self.pull_if_migrating(&routing, key)?;
-        f(&routing, routing.table.route(self.routing_hash(key)))
-    }
-
     /// If `key` lies in a migrating range, ensure it — and every other
     /// member of its placement group still at the source — has moved to
     /// the destination before the caller operates on it.
@@ -1173,39 +1157,22 @@ impl ControllerCluster {
     }
 
     /// Stores an object on its owning partition.
+    ///
+    /// Each attempt borrows the caller's value; the replication log record
+    /// is its only copy, made once the owner has acknowledged the write.
     // pesos-lint: invariant(acked_logged)
     pub fn put(
         &self,
         client_id: &str,
         key: &str,
-        value: Vec<u8>,
+        value: impl AsRef<[u8]>,
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
         certificates: &[Certificate],
     ) -> Result<u64, PesosError> {
         let key = HashedKey::new(key);
         let _timer = self.observe(OpKind::Put, &key);
-        if !self.replication_on {
-            // Replication-free fast path: the value moves straight into
-            // the owner, copy-free, exactly as before replication existed.
-            return self.with_owner_once(&key, |routing, owner| {
-                if let Some(id) = &policy_id {
-                    self.ensure_policy(routing, owner, id)?;
-                }
-                owner.put(
-                    client_id,
-                    &key,
-                    value,
-                    policy_id,
-                    expected_version,
-                    certificates,
-                )
-            });
-        }
-        // Replicated path: the value becomes a shared buffer once; each
-        // attempt hands the owner its own copy and, on success, the log
-        // record ships the shared buffer itself (no further copies).
-        let payload: Payload = value.into();
+        let value = value.as_ref();
         self.with_owner(&key, |routing, owner| {
             if let Some(id) = &policy_id {
                 self.ensure_policy(routing, owner, id)?;
@@ -1213,14 +1180,14 @@ impl ControllerCluster {
             let version = owner.put(
                 client_id,
                 &key,
-                payload.to_vec(),
+                value,
                 policy_id,
                 expected_version,
                 certificates,
             )?;
             self.append_for(owner, || LogRecord::Put {
                 key: key.key().to_string(),
-                value: payload.clone(),
+                value: value.into(),
                 policy_id,
                 version: Some(version),
             });
@@ -1246,26 +1213,8 @@ impl ControllerCluster {
         // Times acceptance (the synchronous half of the async put), like
         // the controller's own put_async histogram.
         let _timer = self.observe(OpKind::PutAsync, &key);
-        if !self.replication_on {
-            return self.with_owner_once(&key, |routing, owner| {
-                if let Some(id) = &policy_id {
-                    self.ensure_policy(routing, owner, id)?;
-                }
-                let local_op = owner.put_async(
-                    client_id,
-                    &key,
-                    value,
-                    policy_id,
-                    expected_version,
-                    certificates,
-                )?;
-                let cluster_op = self.next_async_id.fetch_add(1, Ordering::SeqCst);
-                self.async_ops
-                    .insert(cluster_op, (Arc::clone(owner), local_op));
-                // pesos-lint: allow(acked_logged, "replication is off on this path: no log exists to append to")
-                Ok(cluster_op)
-            });
-        }
+        // One shared buffer serves every attempt, the owner's deferred
+        // write and the log record.
         let payload: Payload = value.into();
         self.with_owner(&key, |routing, owner| {
             if let Some(id) = &policy_id {
@@ -1274,7 +1223,7 @@ impl ControllerCluster {
             let local_op = owner.put_async(
                 client_id,
                 &key,
-                payload.to_vec(),
+                payload.clone(),
                 policy_id,
                 expected_version,
                 certificates,
@@ -1415,7 +1364,7 @@ impl ControllerCluster {
             client_id,
             TxWrite {
                 key: key.to_string(),
-                value,
+                value: value.into(),
                 policy_id: None,
             },
         )
@@ -1451,11 +1400,6 @@ impl ControllerCluster {
         struct Branch {
             reads: Vec<(usize, String)>,
             writes: Vec<(usize, TxWrite)>,
-            /// Shared copies of the write values, captured at staging
-            /// (before the values move into the branch transactions) so
-            /// the post-commit log records can ship them by reference.
-            /// Empty when replication is off.
-            payloads: Vec<Payload>,
         }
         let mut branches: BTreeMap<usize, Branch> = BTreeMap::new();
         for (position, key) in tx.reads.iter().enumerate() {
@@ -1484,14 +1428,14 @@ impl ControllerCluster {
         // order that keeps concurrent coordinators deadlock-free. Any
         // staging failure aborts every local transaction created so far,
         // not just the failing branch's, so nothing lingers in the
-        // participants' transaction buffers. Write payloads move into the
-        // branch transactions (the merge below only needs each write's
-        // position), so staging copies no value bytes.
+        // participants' transaction buffers. Write values are shared
+        // buffers, so staging them on a branch and logging them after
+        // commit copies no value bytes.
         let participants: Vec<(Arc<PesosController>, u64, usize)> = {
             let mut out: Vec<(Arc<PesosController>, u64, usize)> =
                 Vec::with_capacity(branches.len());
             let mut failure: Option<PesosError> = None;
-            'staging: for (&partition, branch) in branches.iter_mut() {
+            'staging: for (&partition, branch) in &branches {
                 // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
                 let controller = Arc::clone(&routing.table.partitions()[partition].controller);
                 let local = match controller.create_tx(client_id) {
@@ -1508,17 +1452,9 @@ impl ControllerCluster {
                         break 'staging;
                     }
                 }
-                for i in 0..branch.writes.len() {
-                    // pesos-lint: allow(panic_freedom, "loop index bounded by writes.len()")
-                    let value = std::mem::take(&mut branch.writes[i].1.value);
-                    if self.replication_on {
-                        // One copy into a shared buffer, paid only when a
-                        // log record will ship it after commit.
-                        branch.payloads.push(value.clone().into());
-                    }
-                    // pesos-lint: allow(panic_freedom, "loop index bounded by writes.len()")
-                    let key = &branch.writes[i].1.key;
-                    if let Err(e) = controller.add_write(client_id, local, key, value) {
+                for (_, write) in &branch.writes {
+                    let value = write.value.clone();
+                    if let Err(e) = controller.add_write(client_id, local, &write.key, value) {
                         failure = Some(e);
                         break 'staging;
                     }
@@ -1565,23 +1501,16 @@ impl ControllerCluster {
             // Applied branch writes enter the partition's log with their
             // committed versions, before the outcome (the client-visible
             // acknowledgement) is assembled below.
-            if self.replication_on {
-                for (((_, write), payload), version) in branch
-                    .writes
-                    .iter()
-                    .zip(&branch.payloads)
-                    .zip(&outcome.write_versions)
-                {
-                    self.append_for(controller, || LogRecord::Put {
-                        key: write.key.clone(),
-                        value: payload.clone(),
-                        policy_id: write
-                            .policy_id
-                            .as_deref()
-                            .and_then(|hex| parse_policy_id(hex).ok()),
-                        version: Some(*version),
-                    });
-                }
+            for ((_, write), version) in branch.writes.iter().zip(&outcome.write_versions) {
+                self.append_for(controller, || LogRecord::Put {
+                    key: write.key.clone(),
+                    value: write.value.clone(),
+                    policy_id: write
+                        .policy_id
+                        .as_deref()
+                        .and_then(|hex| parse_policy_id(hex).ok()),
+                    version: Some(*version),
+                });
             }
             for ((position, _), value) in branch.reads.iter().zip(outcome.read_values) {
                 // pesos-lint: allow(panic_freedom, "positions were assigned by enumerate over vectors sized to the operation counts")
@@ -2461,7 +2390,7 @@ impl ControllerCluster {
                     let version = self.put(
                         client_id,
                         &rest.key,
-                        rest.value.clone(),
+                        &rest.value,
                         policy_id,
                         rest.expected_version,
                         certs,
@@ -2787,7 +2716,7 @@ mod tests {
             c.put(
                 "alice",
                 &format!("doc/{i}"),
-                b"secret".to_vec(),
+                b"secret",
                 Some(acl),
                 None,
                 &[],
@@ -2821,9 +2750,8 @@ mod tests {
             }
             found.expect("two partitions")
         };
-        c.put("alice", &a, b"100".to_vec(), None, None, &[])
-            .unwrap();
-        c.put("alice", &b, b"0".to_vec(), None, None, &[]).unwrap();
+        c.put("alice", &a, b"100", None, None, &[]).unwrap();
+        c.put("alice", &b, b"0", None, None, &[]).unwrap();
 
         let tx = c.create_tx("alice").unwrap();
         assert_ne!(tx & CLUSTER_TX_BIT, 0);
@@ -2865,9 +2793,8 @@ mod tests {
             }
             found.expect("two partitions")
         };
-        c.put("bob", &open_key, b"v0".to_vec(), None, None, &[])
-            .unwrap();
-        c.put("alice", &locked_key, b"v0".to_vec(), Some(acl), None, &[])
+        c.put("bob", &open_key, b"v0", None, None, &[]).unwrap();
+        c.put("alice", &locked_key, b"v0", Some(acl), None, &[])
             .unwrap();
 
         // Bob's transaction touches both; the locked partition's policy
@@ -2885,10 +2812,8 @@ mod tests {
         assert_eq!(&**c.get("alice", &locked_key, &[]).unwrap().0, b"v0");
         assert!(c.check_results("bob", tx).is_err());
         // The partitions stay fully usable after the abort (locks freed).
-        c.put("bob", &open_key, b"v1".to_vec(), None, None, &[])
-            .unwrap();
-        c.put("alice", &locked_key, b"v1".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("bob", &open_key, b"v1", None, None, &[]).unwrap();
+        c.put("alice", &locked_key, b"v1", None, None, &[]).unwrap();
     }
 
     #[test]
@@ -2896,7 +2821,7 @@ mod tests {
         let c = cluster(2);
         c.register_client("alice");
         for i in 0..24 {
-            c.put("alice", &format!("win/{i}"), b"x".to_vec(), None, None, &[])
+            c.put("alice", &format!("win/{i}"), b"x", None, None, &[])
                 .unwrap();
         }
         assert!(c.partition_loads().iter().any(|l| l.requests > 0));
@@ -2977,8 +2902,7 @@ mod tests {
             .count();
         assert!(new_partition_keys > 0, "split moved no keys");
         // Version history survives the migration.
-        c.put("alice", &keys[0], b"v1".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", &keys[0], b"v1", None, None, &[]).unwrap();
         assert_eq!(c.get("alice", &keys[0], &[]).unwrap().1, 1);
     }
 
@@ -3026,8 +2950,7 @@ mod tests {
         let c = cluster(2);
         c.register_client("alice");
         c.set_time(0);
-        c.put("alice", "pre/expiry", b"x".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", "pre/expiry", b"x", None, None, &[]).unwrap();
         // Advance past the session expiry and expire everywhere.
         c.set_time(100_000);
         assert_eq!(c.expire_sessions(), 1);
@@ -3042,29 +2965,15 @@ mod tests {
         c.add_controller().unwrap();
         for i in 0..32 {
             assert!(matches!(
-                c.put(
-                    "alice",
-                    &format!("post/{i}"),
-                    b"x".to_vec(),
-                    None,
-                    None,
-                    &[]
-                ),
+                c.put("alice", &format!("post/{i}"), b"x", None, None, &[]),
                 Err(PesosError::NoSession(_))
             ));
         }
         // Re-registering restores service on every partition.
         c.register_client("alice");
         for i in 0..32 {
-            c.put(
-                "alice",
-                &format!("back/{i}"),
-                b"x".to_vec(),
-                None,
-                None,
-                &[],
-            )
-            .unwrap();
+            c.put("alice", &format!("back/{i}"), b"x", None, None, &[])
+                .unwrap();
         }
     }
 
@@ -3092,15 +3001,8 @@ mod tests {
             ClientRequest::new(RestRequest::new(RestMethod::GetPolicy, acl.to_hex())),
         );
         assert_eq!(resp.status, RestStatus::Ok);
-        c.put(
-            "alice",
-            "late/doc",
-            b"secret".to_vec(),
-            Some(acl),
-            None,
-            &[],
-        )
-        .unwrap();
+        c.put("alice", "late/doc", b"secret", Some(acl), None, &[])
+            .unwrap();
         assert!(matches!(
             c.get("eve", "late/doc", &[]),
             Err(PesosError::PolicyDenied(_))
@@ -3117,15 +3019,8 @@ mod tests {
         // Alice can operate on keys owned by the new partition without
         // re-registering: her session was mirrored during the join.
         for i in 0..32 {
-            c.put(
-                "alice",
-                &format!("post-join/{i}"),
-                b"x".to_vec(),
-                None,
-                None,
-                &[],
-            )
-            .unwrap();
+            c.put("alice", &format!("post-join/{i}"), b"x", None, None, &[])
+                .unwrap();
         }
         let second = &c.controllers()[1];
         assert!(
@@ -3238,7 +3133,7 @@ mod tests {
             assert_eq!(c.partition_of(base), c.partition_of(&log), "{base}");
             assert_eq!(c.partition_of(base), c.partition_of(&v2), "{base}");
             for key in [base, log.as_str(), v2.as_str()] {
-                c.put("alice", key, key.as_bytes().to_vec(), None, None, &[])
+                c.put("alice", key, key.as_bytes(), None, None, &[])
                     .unwrap();
             }
         }
@@ -3309,8 +3204,7 @@ mod tests {
         // And they can still be deleted and re-created afterwards.
         c.delete("alice", ".", &[]).unwrap();
         assert!(c.get("alice", ".", &[]).is_err());
-        c.put("alice", ".", b"again".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", ".", b"again", None, None, &[]).unwrap();
         assert_eq!(&**c.get("alice", ".", &[]).unwrap().0, b"again");
     }
 
@@ -3333,7 +3227,7 @@ mod tests {
             };
         }
         for key in heavy_keys.iter().chain(&light_keys) {
-            c.put("alice", key, b"x".to_vec(), None, None, &[]).unwrap();
+            c.put("alice", key, b"x", None, None, &[]).unwrap();
         }
         let before = c.partition_loads();
         assert!(before[0].weight() > before[1].weight());
@@ -3371,8 +3265,7 @@ mod tests {
             let p = c.partition_of(&key);
             if placed[p] < counts[p] {
                 placed[p] += 1;
-                c.put("alice", &key, b"x".to_vec(), None, None, &[])
-                    .unwrap();
+                c.put("alice", &key, b"x", None, None, &[]).unwrap();
             }
         }
         let before = c.partition_loads();
@@ -3418,9 +3311,11 @@ mod tests {
         assert!(requests >= 12);
     }
 
-    #[test]
-    fn killed_partition_is_unavailable_until_promoted() {
-        let c = replicated_cluster(2, 1);
+    /// Writes a key set over both partitions of `c`, kills partition 0, and
+    /// checks that gets, puts and async puts into the killed range each
+    /// retry and then fail `Unavailable` while partition 1 keeps serving.
+    /// Returns the keys written and one key of the killed range.
+    fn kill_partition_zero(c: &ControllerCluster) -> (Vec<String>, String) {
         c.register_client("alice");
         let keys: Vec<String> = (0..32).map(|i| format!("fo/{i}")).collect();
         for key in &keys {
@@ -3438,15 +3333,39 @@ mod tests {
             .expect("some key routes to partition 1")
             .clone();
         c.kill_controller(0).unwrap();
-        // The failed range errors (after its capped retries); the other
-        // partition keeps serving.
-        assert!(matches!(
-            c.get("alice", &dead, &[]),
-            Err(PesosError::Unavailable(_))
-        ));
+        let mut retries = c.retry_stats().request_retries;
+        let mut expect_unavailable = |op: &str, result: Result<u64, PesosError>| {
+            assert!(
+                matches!(result, Err(PesosError::Unavailable(_))),
+                "{op} into the killed range: {result:?}"
+            );
+            let now = c.retry_stats().request_retries;
+            assert!(now > retries, "{op} into the killed range should retry");
+            retries = now;
+        };
+        expect_unavailable("get", c.get("alice", &dead, &[]).map(|(_, v)| v));
+        expect_unavailable("put", c.put("alice", &dead, b"lost", None, None, &[]));
+        expect_unavailable(
+            "put_async",
+            c.put_async("alice", &dead, b"lost".to_vec(), None, None, &[]),
+        );
         c.get("alice", &alive, &[]).unwrap();
-        let retried = c.retry_stats().request_retries;
-        assert!(retried > 0, "unavailable range should have retried");
+        // A sibling of `alive` shares its placement group, so partition 1
+        // takes the write.
+        c.put("alice", &format!("{alive}.new"), b"served", None, None, &[])
+            .unwrap();
+        (keys, dead)
+    }
+
+    #[test]
+    fn killed_partition_refuses_writes_without_replication() {
+        kill_partition_zero(&cluster(2));
+    }
+
+    #[test]
+    fn killed_partition_is_unavailable_until_promoted() {
+        let c = replicated_cluster(2, 1);
+        let (keys, dead) = kill_partition_zero(&c);
         // Promotion brings the range back with every acknowledged write.
         let promotion = c.fail_controller(0).unwrap();
         assert!(!Arc::ptr_eq(&promotion.promoted, &c.controllers()[1]));
@@ -3455,7 +3374,7 @@ mod tests {
             assert_eq!(&**value, key.as_bytes());
         }
         // And the promoted partition accepts new writes.
-        c.put("alice", &dead, b"after failover".to_vec(), None, None, &[])
+        c.put("alice", &dead, b"after failover", None, None, &[])
             .unwrap();
     }
 
@@ -3470,14 +3389,11 @@ mod tests {
                 "read :- sessionKeyIs(\"alice\")\nupdate :- sessionKeyIs(\"alice\")",
             )
             .unwrap();
-        c.put("alice", "k", b"v0".to_vec(), Some(acl), None, &[])
-            .unwrap();
+        c.put("alice", "k", b"v0", Some(acl), None, &[]).unwrap();
         // CAS put (expected_version names the version this write creates):
         // the log record carries the exact committed version.
-        c.put("alice", "k", b"v1".to_vec(), None, Some(1), &[])
-            .unwrap();
-        c.put("alice", "gone", b"x".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", "k", b"v1", None, Some(1), &[]).unwrap();
+        c.put("alice", "gone", b"x", None, None, &[]).unwrap();
         c.delete("alice", "gone", &[]).unwrap();
         c.kill_controller(0).unwrap();
         c.fail_controller(0).unwrap();
@@ -3642,8 +3558,7 @@ mod tests {
             .map(|i| format!("rc/{i}"))
             .find(|k| c.partition_of(k) == 0)
             .expect("some key routes to partition 0");
-        c.put("alice", &key, b"v".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", &key, b"v", None, None, &[]).unwrap();
         c.kill_controller(0).unwrap();
         let _ = c.get("alice", &key, &[]);
         c.fail_controller(0).unwrap();

@@ -136,7 +136,7 @@ mod tests {
             "alice",
             TxWrite {
                 key: "b".into(),
-                value: vec![1],
+                value: vec![1].into(),
                 policy_id: None,
             },
         )

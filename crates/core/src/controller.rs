@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pesos_crypto::Certificate;
+use pesos_kinetic::Payload;
 use pesos_policy::{Operation, PolicyId, RequestContext, Value};
 use pesos_sgx::UserScheduler;
 use pesos_telemetry::{OpKind, OpTimer, StatsNode};
@@ -300,22 +301,53 @@ impl PesosController {
         }
     }
 
-    /// The version the store must re-validate under the key lock: the
-    /// client's explicit compare-and-swap version if given, otherwise the
-    /// version the policy just approved — but only when that policy
-    /// actually constrains `nextVersion` (enforcing it for plain ACL
-    /// policies would make every concurrent writer but one fail).
-    fn cas_version(
-        applied: &Option<Arc<pesos_policy::CompiledPolicy>>,
+    /// The write preamble every object write shares: read the metadata,
+    /// pick the version the write expects to land at, hash the content,
+    /// check the existing policy's update permission against both, and
+    /// make sure a policy to attach exists. Returns the content digest
+    /// (handed down so the store does not hash the value again) and the
+    /// version the store must re-validate under the key lock.
+    ///
+    /// That version is the client's explicit compare-and-swap version if
+    /// given, otherwise the version the policy just approved — but only
+    /// when that policy actually constrains `nextVersion` (enforcing it for
+    /// plain ACL policies would make every concurrent writer but one fail).
+    /// The policy check runs outside the store's key lock, so without the
+    /// re-validation two racing writers that both passed a
+    /// version-constraining policy (or both supplied the same expected
+    /// version) could both land; with it one gets a `VersionConflict`.
+    fn prepare_write(
+        &self,
+        client_id: &str,
+        key: &HashedKey<'_>,
+        value: &[u8],
+        policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
-        next_version: u64,
-    ) -> Option<u64> {
-        expected_version.or_else(|| {
+        certificates: &[Certificate],
+    ) -> Result<(pesos_crypto::Digest, Option<u64>), PesosError> {
+        let current = self.store.get_metadata(key);
+        let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
+        let next_version = expected_version.unwrap_or(default_next);
+        let content_hash = pesos_crypto::sha256(value);
+        let applied = self.check_policy(
+            Operation::Update,
+            key,
+            current.as_ref(),
+            client_id,
+            certificates,
+            Some(next_version),
+            Some(content_hash.to_vec()),
+        )?;
+        if let Some(id) = &policy_id {
+            // The referenced policy must exist before it can be attached.
+            self.store.load_policy(id)?;
+        }
+        let cas = expected_version.or_else(|| {
             applied
-                .as_ref()
                 .filter(|p| p.constrains_version(Operation::Update))
                 .map(|_| next_version)
-        })
+        });
+        Ok((content_hash, cas))
     }
 
     // ------------------------------------------------------------------
@@ -341,7 +373,7 @@ impl PesosController {
         &self,
         client_id: &str,
         key: impl Into<HashedKey<'a>>,
-        value: Vec<u8>,
+        value: impl AsRef<[u8]>,
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
         certificates: &[Certificate],
@@ -350,36 +382,18 @@ impl PesosController {
         self.require_session(client_id)?;
         ControllerMetrics::bump(&self.metrics.requests);
         ControllerMetrics::bump(&self.metrics.writes);
-
-        // One key hash and one content hash for the whole request: both are
-        // reused by the policy check and then handed down into the store.
         let key = key.into();
-        let current = self.store.get_metadata(&key);
-        let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
-        let next_version = expected_version.unwrap_or(default_next);
-        let new_hash = pesos_crypto::sha256(&value);
-        let applied = self.check_policy(
-            Operation::Update,
-            &key,
-            current.as_ref(),
+        let value = value.as_ref();
+        let (content_hash, cas) = self.prepare_write(
             client_id,
+            &key,
+            value,
+            policy_id,
+            expected_version,
             certificates,
-            Some(next_version),
-            Some(new_hash.to_vec()),
         )?;
-
-        if let Some(id) = &policy_id {
-            // The referenced policy must exist before it can be attached.
-            self.store.load_policy(id)?;
-        }
-        // The policy check above ran outside the store's key lock; the
-        // store re-validates the version under it, so two racing writers
-        // that both passed a version-constraining policy (or both supplied
-        // the same expected_version) cannot both land — one gets a
-        // VersionConflict instead of a blind overwrite.
-        let cas = Self::cas_version(&applied, expected_version, next_version);
         self.store
-            .put_object_full(key, &value, policy_id, cas, Some(new_hash))
+            .put_object_full(key, value, policy_id, cas, Some(content_hash))
     }
 
     /// Stores an object asynchronously; returns the operation identifier the
@@ -389,7 +403,7 @@ impl PesosController {
         &self,
         client_id: &str,
         key: impl Into<HashedKey<'a>>,
-        value: Vec<u8>,
+        value: impl AsRef<[u8]> + Send + 'static,
         policy_id: Option<PolicyId>,
         expected_version: Option<u64>,
         certificates: &[Certificate],
@@ -400,25 +414,15 @@ impl PesosController {
         ControllerMetrics::bump(&self.metrics.requests);
         ControllerMetrics::bump(&self.metrics.writes);
         ControllerMetrics::bump(&self.metrics.async_accepted);
-
         let key = key.into();
-        let current = self.store.get_metadata(&key);
-        let default_next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
-        let next_version = expected_version.unwrap_or(default_next);
-        let new_hash = pesos_crypto::sha256(&value);
-        let applied = self.check_policy(
-            Operation::Update,
-            &key,
-            current.as_ref(),
+        let (content_hash, cas) = self.prepare_write(
             client_id,
+            &key,
+            value.as_ref(),
+            policy_id,
+            expected_version,
             certificates,
-            Some(next_version),
-            Some(new_hash.to_vec()),
         )?;
-        if let Some(id) = &policy_id {
-            self.store.load_policy(id)?;
-        }
-        let cas = Self::cas_version(&applied, expected_version, next_version);
 
         let op_id = self.results.register(client_id);
         let store = Arc::clone(&self.store);
@@ -429,14 +433,16 @@ impl PesosController {
         let key = key.key().to_string();
         self.scheduler.spawn(move || {
             let key = HashedKey::from_parts(&key, key_hash);
-            let outcome = match store.put_object_full(key, &value, policy_id, cas, Some(new_hash)) {
-                Ok(version) => AsyncResult::Completed {
-                    version: Some(version),
-                },
-                Err(e) => AsyncResult::Failed {
-                    reason: e.to_string(),
-                },
-            };
+            let value = value.as_ref();
+            let outcome =
+                match store.put_object_full(key, value, policy_id, cas, Some(content_hash)) {
+                    Ok(version) => AsyncResult::Completed {
+                        version: Some(version),
+                    },
+                    Err(e) => AsyncResult::Failed {
+                        reason: e.to_string(),
+                    },
+                };
             results.complete(op_id, outcome);
         });
         Ok(op_id)
@@ -580,7 +586,7 @@ impl PesosController {
         client_id: &str,
         tx_id: u64,
         key: &str,
-        value: Vec<u8>,
+        value: impl Into<Payload>,
     ) -> Result<(), PesosError> {
         self.require_session(client_id)?;
         self.transactions.add_write(
@@ -588,7 +594,7 @@ impl PesosController {
             client_id,
             TxWrite {
                 key: key.to_string(),
-                value,
+                value: value.into(),
                 policy_id: None,
             },
         )
@@ -654,43 +660,30 @@ impl PesosController {
         }
     }
 
-    /// The validation body of [`PesosController::prepare_commit`]: policy
-    /// checks for writes then reads (a denial aborts before any state
-    /// changes), then the buffered reads. Hashes each key and each write
-    /// payload once; the returned plan carries them so the commit phase
-    /// re-hashes nothing.
-    #[allow(clippy::type_complexity)]
+    /// The validation body of [`PesosController::prepare_commit`]: the
+    /// write preamble for every write, then read checks (a denial aborts
+    /// before any state changes), then the buffered reads. Hashes each key
+    /// and each write payload once; the returned plan carries them so the
+    /// commit phase re-hashes nothing. Transaction writes apply at the next
+    /// free version, so the preamble's compare-and-swap version is unused.
     fn validate_prepared(
         &self,
         client_id: &str,
         prepared: &crate::transaction::PreparedTransaction<'_>,
     ) -> Result<(Vec<Vec<u8>>, Vec<PreparedWrite>), PesosError> {
         let store = &self.store;
-        let write_keys: Vec<HashedKey<'_>> = prepared
-            .writes()
-            .iter()
-            .map(|w| HashedKey::new(&w.key))
-            .collect();
-        let write_hashes: Vec<pesos_crypto::Digest> = prepared
-            .writes()
-            .iter()
-            .map(|w| pesos_crypto::sha256(&w.value))
-            .collect();
+        let mut write_plan = Vec::with_capacity(prepared.writes().len());
+        for write in prepared.writes() {
+            let key = HashedKey::new(&write.key);
+            let (content_hash, _) =
+                self.prepare_write(client_id, &key, &write.value, None, None, &[])?;
+            write_plan.push(PreparedWrite {
+                key_hash: key.hash(),
+                content_hash,
+            });
+        }
         let read_keys: Vec<HashedKey<'_>> =
             prepared.reads().iter().map(|k| HashedKey::new(k)).collect();
-        for (key, hash) in write_keys.iter().zip(&write_hashes) {
-            let current = store.get_metadata(key);
-            let next = current.as_ref().map(|m| m.latest_version + 1).unwrap_or(0);
-            self.check_policy(
-                Operation::Update,
-                key,
-                current.as_ref(),
-                client_id,
-                &[],
-                Some(next),
-                Some(hash.to_vec()),
-            )?;
-        }
         for key in &read_keys {
             let current = store.get_metadata(key);
             self.check_policy(
@@ -708,14 +701,6 @@ impl PesosController {
             let (value, _) = store.get_object(key)?;
             read_values.push((*value).clone());
         }
-        let write_plan = write_keys
-            .iter()
-            .zip(&write_hashes)
-            .map(|(key, hash)| PreparedWrite {
-                key_hash: key.hash(),
-                content_hash: *hash,
-            })
-            .collect();
         Ok((read_values, write_plan))
     }
 
@@ -933,7 +918,7 @@ impl PesosController {
                     let version = self.put(
                         client_id,
                         &rest.key,
-                        rest.value.clone(),
+                        &rest.value,
                         policy_id,
                         rest.expected_version,
                         certs,
@@ -1065,7 +1050,7 @@ mod tests {
         let c = controller();
         c.register_client("alice");
         let v = c
-            .put("alice", "greeting", b"hello".to_vec(), None, None, &[])
+            .put("alice", "greeting", b"hello", None, None, &[])
             .unwrap();
         assert_eq!(v, 0);
         let (value, version) = c.get("alice", "greeting", &[]).unwrap();
@@ -1088,7 +1073,7 @@ mod tests {
     fn failed_controller_refuses_sessioned_operations() {
         let c = controller();
         c.register_client("alice");
-        c.put("alice", "k", b"v".to_vec(), None, None, &[]).unwrap();
+        c.put("alice", "k", b"v", None, None, &[]).unwrap();
         c.set_failed(true);
         assert!(c.is_failed());
         assert!(matches!(
@@ -1096,7 +1081,7 @@ mod tests {
             Err(PesosError::Unavailable(_))
         ));
         assert!(matches!(
-            c.put("alice", "k", b"w".to_vec(), None, None, &[]),
+            c.put("alice", "k", b"w", None, None, &[]),
             Err(PesosError::Unavailable(_))
         ));
         // Direct store access (replication appliers) keeps working.
@@ -1119,18 +1104,17 @@ mod tests {
                  delete :- sessionKeyIs(\"admin\")",
             )
             .unwrap();
-        c.put("alice", "doc", b"v0".to_vec(), Some(policy), None, &[])
+        c.put("alice", "doc", b"v0", Some(policy), None, &[])
             .unwrap();
 
         // Bob can read but not update.
         assert!(c.get("bob", "doc", &[]).is_ok());
         assert!(matches!(
-            c.put("bob", "doc", b"v1".to_vec(), None, None, &[]),
+            c.put("bob", "doc", b"v1", None, None, &[]),
             Err(PesosError::PolicyDenied(_))
         ));
         // Alice can update; only admin can delete.
-        c.put("alice", "doc", b"v1".to_vec(), None, None, &[])
-            .unwrap();
+        c.put("alice", "doc", b"v1", None, None, &[]).unwrap();
         assert!(c.delete("alice", "doc", &[]).is_err());
         c.delete("admin", "doc", &[]).unwrap();
         assert!(c.metrics().policy_denials >= 2);
@@ -1150,22 +1134,15 @@ mod tests {
             .unwrap();
         // Create at version 0.
         let v = c
-            .put(
-                "writer",
-                "versioned",
-                b"v0".to_vec(),
-                Some(policy),
-                Some(0),
-                &[],
-            )
+            .put("writer", "versioned", b"v0", Some(policy), Some(0), &[])
             .unwrap();
         assert_eq!(v, 0);
         // Correct increment accepted, wrong one rejected.
         assert!(c
-            .put("writer", "versioned", b"v1".to_vec(), None, Some(1), &[])
+            .put("writer", "versioned", b"v1", None, Some(1), &[])
             .is_ok());
         assert!(c
-            .put("writer", "versioned", b"v3".to_vec(), None, Some(3), &[])
+            .put("writer", "versioned", b"v3", None, Some(3), &[])
             .is_err());
         // History read.
         assert_eq!(c.get_version("writer", "versioned", 0, &[]).unwrap(), b"v0");
@@ -1198,9 +1175,9 @@ mod tests {
         let acl = c
             .put_policy("alice", "read :- sessionKeyIs(\"alice\")\nupdate :- sessionKeyIs(\"alice\")\ndelete :- sessionKeyIs(\"alice\")")
             .unwrap();
-        c.put("alice", "account/a", b"100".to_vec(), Some(acl), None, &[])
+        c.put("alice", "account/a", b"100", Some(acl), None, &[])
             .unwrap();
-        c.put("alice", "account/b", b"0".to_vec(), Some(acl), None, &[])
+        c.put("alice", "account/b", b"0", Some(acl), None, &[])
             .unwrap();
 
         // Alice transfers atomically.
@@ -1333,8 +1310,7 @@ mod tests {
         let id = c.register_client_with_certificate(&cert).unwrap();
         assert_eq!(id, pesos_crypto::hex_encode(&kp.public().to_bytes()));
         // The registered identity can operate.
-        c.put(&id, "carol-obj", b"x".to_vec(), None, None, &[])
-            .unwrap();
+        c.put(&id, "carol-obj", b"x", None, None, &[]).unwrap();
         // A tampered certificate is rejected.
         let mut bad = cert.clone();
         bad.subject = "client:mallory".into();

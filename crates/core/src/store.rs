@@ -39,17 +39,30 @@
 //! "before" configuration and tests assert both paths leave byte-identical
 //! drive state.
 //!
+//! # One write core
+//!
+//! Every object write — a primary put (plain, compare-and-swap, or
+//! asynchronous), a transaction commit, a backup applying a replication
+//! log record, and a promotion replaying the retained log tail — runs the
+//! same locked sequence in the private `write_object`: take the key lock,
+//! load the metadata, pick the version, seal and write the replicas, record
+//! the version, persist the metadata, fill the cache. The entry points
+//! differ only in how the version is picked: the next free slot (with an
+//! optional compare-and-swap) for primary writes, or the version the log
+//! record carries (idempotent on re-apply) for replicated ones.
+//!
 //! # The digest pipeline
 //!
 //! Every hash on the request path is computed exactly once. The controller
 //! builds a [`HashedKey`] when a request enters and threads it through
 //! placement, the metadata shard, the cache shard and the key-lock
 //! registry, so the SHA-256 placement hash is paid once per request rather
-//! than once per structure. Put payloads arrive with the content digest the
-//! controller already computed for the policy check (the crate-private
-//! `put_object_full`), so the version metadata never hashes the same bytes
-//! twice. The compression-count budgets in `tests/digest_budget.rs` pin
-//! these invariants.
+//! than once per structure. A write may carry the content digest its
+//! caller already computed (the controller hashes every put for the policy
+//! check), so the version metadata never hashes the same bytes twice;
+//! writes without one, such as replicated applies, hash in the write core.
+//! The compression-count budgets in `tests/digest_budget.rs` pin these
+//! invariants.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -101,6 +114,19 @@ impl StoreOptions {
             serial_replication: config.serial_replication,
         }
     }
+}
+
+/// How [`PesosStore::write_object`] picks the version it writes.
+#[derive(Debug, Clone, Copy)]
+enum WriteAt {
+    /// The next free version. `Some(v)` is a compare-and-swap: the write
+    /// fails with [`PesosError::VersionConflict`] unless the next free
+    /// version is `v`.
+    Next(Option<u64>),
+    /// The version a replication log record carries (`None`: the next free
+    /// version in log order). A version already recorded is not written
+    /// again, so replaying a log tail is idempotent.
+    Logged(Option<u64>),
 }
 
 /// Sharded registry of per-key write locks.
@@ -570,50 +596,13 @@ impl PesosStore {
         expected_version: Option<u64>,
         value_hash: Option<pesos_crypto::Digest>,
     ) -> Result<u64, PesosError> {
-        let key = key.into();
-        let key_lock = self.key_locks.lock_for(&key);
-        let _write_guard = key_lock.lock();
-
-        let mut meta = self
-            .load_metadata_locked(&key)
-            .unwrap_or_else(|| ObjectMetadata::new(key.key()));
-        let new_version = if meta.versions.is_empty() {
-            0
-        } else {
-            meta.latest_version + 1
-        };
-        if let Some(expected) = expected_version {
-            if expected != new_version {
-                return Err(PesosError::VersionConflict {
-                    expected,
-                    got: new_version,
-                });
-            }
-        }
-
-        let encoded: Payload = self.crypter.seal(key.key(), new_version, value).into();
-        self.replicated_put(&key, Arc::from(data_key(key.key(), new_version)), encoded)?;
-
-        let policy_hash = policy_id
-            .or(meta.policy_id)
-            .map(|p| p.0.to_vec())
-            .unwrap_or_default();
-        if policy_id.is_some() {
-            meta.policy_id = policy_id;
-        }
-        meta.record_version(VersionMeta {
-            version: new_version,
-            size: value.len() as u64,
-            value_hash: value_hash
-                .unwrap_or_else(|| pesos_crypto::sha256(value))
-                .to_vec(),
-            policy_hash,
-        });
-        self.persist_metadata(&key, &meta)?;
-
-        self.object_cache
-            .put(key, Arc::new(value.to_vec()), new_version);
-        Ok(new_version)
+        self.write_object(
+            key.into(),
+            value,
+            policy_id,
+            WriteAt::Next(expected_version),
+            value_hash,
+        )
     }
 
     /// Applies a write shipped through a partition replication log.
@@ -633,7 +622,21 @@ impl PesosStore {
         policy_id: Option<PolicyId>,
         version: Option<u64>,
     ) -> Result<u64, PesosError> {
-        let key = key.into();
+        self.write_object(key.into(), value, policy_id, WriteAt::Logged(version), None)
+    }
+
+    /// The one object write: under `key`'s write lock, pick the version,
+    /// seal and write the value to its replicas, record the version in the
+    /// metadata, persist it, and fill the cache. Every put — primary,
+    /// transactional, backup apply and promotion replay — lands here.
+    fn write_object(
+        &self,
+        key: HashedKey<'_>,
+        value: &[u8],
+        policy_id: Option<PolicyId>,
+        at: WriteAt,
+        value_hash: Option<pesos_crypto::Digest>,
+    ) -> Result<u64, PesosError> {
         let key_lock = self.key_locks.lock_for(&key);
         let _write_guard = key_lock.lock();
 
@@ -645,10 +648,22 @@ impl PesosStore {
         } else {
             meta.latest_version + 1
         };
-        let version = version.unwrap_or(next_free);
-        if meta.version(version).is_some() {
-            return Ok(version);
-        }
+        let version = match at {
+            WriteAt::Next(Some(expected)) if expected != next_free => {
+                return Err(PesosError::VersionConflict {
+                    expected,
+                    got: next_free,
+                });
+            }
+            WriteAt::Next(_) => next_free,
+            WriteAt::Logged(version) => {
+                let version = version.unwrap_or(next_free);
+                if meta.version(version).is_some() {
+                    return Ok(version);
+                }
+                version
+            }
+        };
 
         let encoded: Payload = self.crypter.seal(key.key(), version, value).into();
         self.replicated_put(&key, Arc::from(data_key(key.key(), version)), encoded)?;
@@ -663,12 +678,16 @@ impl PesosStore {
         meta.record_version(VersionMeta {
             version,
             size: value.len() as u64,
-            value_hash: pesos_crypto::sha256(value).to_vec(),
+            value_hash: value_hash
+                .unwrap_or_else(|| pesos_crypto::sha256(value))
+                .to_vec(),
             policy_hash,
         });
-        // Records for one key normally arrive in version order, but two
+        // Log records for one key normally arrive in version order, but two
         // racing appenders on the primary can invert neighbouring entries;
-        // the version index, not the arrival order, is authoritative.
+        // the version index, not the arrival order, is authoritative. A
+        // primary write is always the newest version, so this keeps the
+        // order it already has.
         meta.versions.sort_by_key(|v| v.version);
         meta.latest_version = meta.versions.last().map(|v| v.version).unwrap_or(version);
         self.persist_metadata(&key, &meta)?;

@@ -13,6 +13,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Condvar, Mutex};
+use pesos_kinetic::Payload;
 
 use crate::error::PesosError;
 
@@ -21,8 +22,9 @@ use crate::error::PesosError;
 pub struct TxWrite {
     /// Object key.
     pub key: String,
-    /// New value.
-    pub value: Vec<u8>,
+    /// New value, shared so a coordinator can stage it on a branch and log
+    /// it after commit without copying.
+    pub value: Payload,
     /// Policy to associate, encoded as the hex policy id.
     pub policy_id: Option<String>,
 }
@@ -308,7 +310,7 @@ mod tests {
             "alice",
             TxWrite {
                 key: "a".into(),
-                value: b"1".to_vec(),
+                value: b"1".into(),
                 policy_id: None,
             },
         )
@@ -354,7 +356,7 @@ mod tests {
             "c",
             TxWrite {
                 key: "k".into(),
-                value: vec![],
+                value: Payload::new(),
                 policy_id: None,
             },
         )
@@ -370,7 +372,7 @@ mod tests {
             "c",
             TxWrite {
                 key: "k".into(),
-                value: vec![],
+                value: Payload::new(),
                 policy_id: None,
             },
         )
@@ -394,7 +396,7 @@ mod tests {
                     "worker",
                     TxWrite {
                         key: "shared-counter".into(),
-                        value: vec![t],
+                        value: vec![t].into(),
                         policy_id: None,
                     },
                 )
@@ -425,7 +427,7 @@ mod tests {
             "c",
             TxWrite {
                 key: "contested".into(),
-                value: vec![1],
+                value: vec![1].into(),
                 policy_id: None,
             },
         )
@@ -441,7 +443,7 @@ mod tests {
             "c",
             TxWrite {
                 key: "contested".into(),
-                value: vec![2],
+                value: vec![2].into(),
                 policy_id: None,
             },
         )
@@ -468,7 +470,7 @@ mod tests {
             "x",
             TxWrite {
                 key: "key-a".into(),
-                value: vec![],
+                value: Payload::new(),
                 policy_id: None,
             },
         )
@@ -479,7 +481,7 @@ mod tests {
             "x",
             TxWrite {
                 key: "key-b".into(),
-                value: vec![],
+                value: Payload::new(),
                 policy_id: None,
             },
         )

@@ -49,8 +49,7 @@ fn put_and_get_compression_budgets() {
 
     // Warm the session/metadata paths so the measured op is the steady
     // state, not the cold bootstrap.
-    c.put(&client, "warm", b"w".to_vec(), None, None, &[])
-        .unwrap();
+    c.put(&client, "warm", b"w", None, None, &[]).unwrap();
     let _ = c.get(&client, "warm", &[]).unwrap();
 
     // -- put of a small (one-block) value ------------------------------
@@ -60,10 +59,8 @@ fn put_and_get_compression_budgets() {
     // after the PR 2 midstate caches; 31 with the folded frame HMACs
     // (every exchange's verify side is one outer compression). The budget
     // of 40 sits below the PR 2 number, so both overhauls stay pinned.
-    let (version, small_put) = measured(|| {
-        c.put(&client, "obj/small", b"v".to_vec(), None, None, &[])
-            .unwrap()
-    });
+    let (version, small_put) =
+        measured(|| c.put(&client, "obj/small", b"v", None, None, &[]).unwrap());
     assert_eq!(version, 0);
     println!("put(1-block value): {small_put} compressions");
     assert!(
@@ -134,9 +131,7 @@ fn rebalance_drain_compression_budget() {
         } else {
             format!("drain/k{i}")
         };
-        cluster
-            .put("budget", &key, b"v".to_vec(), None, None, &[])
-            .unwrap();
+        cluster.put("budget", &key, b"v", None, None, &[]).unwrap();
     }
     let moved = cluster.partition_loads()[1].resident_objects;
     assert!(moved > 0, "no keys landed on the drained partition");

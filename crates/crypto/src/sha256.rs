@@ -29,8 +29,7 @@ pub type Digest = [u8; 32];
 /// silently costing microseconds — and the cluster's `/stats/digests` gauge
 /// reports the running total. One uncontended relaxed `fetch_add` per
 /// 64-byte compression is noise next to the compression itself, so the
-/// counter is always on; the legacy `count-ops` feature remains declared
-/// for compatibility but no longer gates anything.
+/// counter is always on.
 pub mod ops {
     use std::sync::atomic::{AtomicU64, Ordering};
 

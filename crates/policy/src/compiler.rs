@@ -290,6 +290,18 @@ impl CompiledPolicy {
             }
         }
 
+        // The interpreter indexes its binding table by slot, so a slot the
+        // variable table does not cover must be rejected here, not at
+        // evaluation time.
+        let slots_in_range = permissions
+            .values()
+            .flat_map(|c: &CompiledCondition| &c.conjunctions)
+            .flat_map(|c| &c.predicates)
+            .flat_map(|p| &p.args)
+            .all(|arg| slots_below(arg, variables.len()));
+        if !slots_in_range {
+            return Err(corrupt("variable slot outside the variable table"));
+        }
         let this_slot = variables
             .iter()
             .position(|v| v == THIS_VAR)
@@ -304,6 +316,16 @@ impl CompiledPolicy {
             this_slot,
             log_slot,
         })
+    }
+}
+
+/// Whether every variable slot in `expr` is below `slot_count`.
+fn slots_below(expr: &CompiledExpr, slot_count: usize) -> bool {
+    match expr {
+        CompiledExpr::Literal(_) => true,
+        CompiledExpr::Var(slot) => usize::from(*slot) < slot_count,
+        CompiledExpr::Add(a, b) => slots_below(a, slot_count) && slots_below(b, slot_count),
+        CompiledExpr::Tuple(_, args) => args.iter().all(|a| slots_below(a, slot_count)),
     }
 }
 
@@ -347,7 +369,16 @@ fn decode_expr(data: &[u8]) -> Result<CompiledExpr, PolicyError> {
     for f in &fields {
         match f.number {
             1 => return decode_value(f.data).map(CompiledExpr::Literal),
-            2 => return Ok(CompiledExpr::Var((f.value - 1) as u16)),
+            // Slots are encoded off by one; 0 and anything past u16 have no
+            // slot to name.
+            2 => {
+                return f
+                    .value
+                    .checked_sub(1)
+                    .and_then(|slot| u16::try_from(slot).ok())
+                    .map(CompiledExpr::Var)
+                    .ok_or_else(|| PolicyError::CorruptBinary("variable slot out of range".into()))
+            }
             3 => add_lhs = Some(decode_expr(f.data)?),
             4 => add_rhs = Some(decode_expr(f.data)?),
             5 => {
@@ -496,6 +527,62 @@ mod tests {
         let acl = compile("update :- sessionKeyIs(\"alice\")").unwrap();
         assert!(!acl.constrains_version(Operation::Update));
         assert!(!acl.constrains_version(Operation::Delete));
+    }
+
+    /// Re-encodes `binary` without its variable table (field 1).
+    fn without_variables(binary: &[u8]) -> Vec<u8> {
+        let mut w = FieldWriter::new();
+        for f in FieldReader::new(binary).collect_fields().unwrap() {
+            if f.number == 2 {
+                w.bytes(2, f.data);
+            }
+        }
+        w.finish()
+    }
+
+    /// A one-variable `read :- sessionKeyIs(<slot>)` binary whose argument
+    /// carries `encoded_slot` verbatim in the expression's slot field.
+    fn binary_with_slot_field(encoded_slot: u64) -> Vec<u8> {
+        let mut expr = FieldWriter::new();
+        expr.uint64(2, encoded_slot);
+        let mut predicate = FieldWriter::new();
+        predicate.uint64(1, Predicate::SessionKeyIs.code() as u64);
+        predicate.message(2, &expr);
+        let mut conjunction = FieldWriter::new();
+        conjunction.message(1, &predicate);
+        let mut condition = FieldWriter::new();
+        condition.uint64(1, 1);
+        condition.message(2, &conjunction);
+        let mut w = FieldWriter::new();
+        w.string(1, "U");
+        w.message(2, &condition);
+        w.finish()
+    }
+
+    #[test]
+    fn from_bytes_rejects_slots_outside_the_variable_table() {
+        let binary = compile("read :- sessionKeyIs(U)").unwrap().to_bytes();
+        assert!(CompiledPolicy::from_bytes(&binary).is_ok());
+        assert!(matches!(
+            CompiledPolicy::from_bytes(&without_variables(&binary)),
+            Err(PolicyError::CorruptBinary(_))
+        ));
+    }
+
+    #[test]
+    fn from_bytes_rejects_unencodable_slot_fields() {
+        // Field value 1 is slot 0, the policy's only variable.
+        let valid = CompiledPolicy::from_bytes(&binary_with_slot_field(1)).unwrap();
+        assert_eq!(valid, compile("read :- sessionKeyIs(U)").unwrap());
+        for bad in [0, u64::from(u16::MAX) + 2, u64::MAX] {
+            assert!(
+                matches!(
+                    CompiledPolicy::from_bytes(&binary_with_slot_field(bad)),
+                    Err(PolicyError::CorruptBinary(_))
+                ),
+                "slot field {bad} decoded"
+            );
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl CompiledPolicy {
         let mut env: Env = vec![None; self.slot_count()];
         for (name, value) in &ctx.bindings {
             if let Some(slot) = self.variables.iter().position(|v| v == name) {
-                // pesos-lint: allow(panic_freedom, "variable slots are assigned densely by the compiler that sized env")
+                // pesos-lint: allow(panic_freedom, "slot is a position in variables, and env has variables.len() entries")
                 env[slot] = Some(value.clone());
             }
         }
@@ -167,7 +167,7 @@ impl CompiledPolicy {
     fn eval_expr(&self, expr: &CompiledExpr, env: &Env) -> Result<Option<Value>, PolicyError> {
         match expr {
             CompiledExpr::Literal(v) => Ok(Some(v.clone())),
-            // pesos-lint: allow(panic_freedom, "variable slots are assigned densely by the compiler that sized env")
+            // pesos-lint: allow(panic_freedom, "Var slots are below variables.len(): compile interns them densely and from_bytes rejects any other; env has variables.len() entries")
             CompiledExpr::Var(slot) => Ok(env[*slot as usize].clone()),
             CompiledExpr::Add(a, b) => {
                 let a = self
@@ -216,11 +216,11 @@ impl CompiledPolicy {
         match expr {
             CompiledExpr::Var(slot) => {
                 let slot = *slot as usize;
-                // pesos-lint: allow(panic_freedom, "variable slots are assigned densely by the compiler that sized env")
+                // pesos-lint: allow(panic_freedom, "Var slots are below variables.len(): compile interns them densely and from_bytes rejects any other; env has variables.len() entries")
                 match &env[slot] {
                     Some(bound) => Ok(bound.loosely_equals(value)),
                     None => {
-                        // pesos-lint: allow(panic_freedom, "variable slots are assigned densely by the compiler that sized env")
+                        // pesos-lint: allow(panic_freedom, "Var slots are below variables.len(): compile interns them densely and from_bytes rejects any other; env has variables.len() entries")
                         env[slot] = Some(value.clone());
                         Ok(true)
                     }
