@@ -10,7 +10,7 @@ use parking_lot::{lock_order, Mutex, RwLock};
 use pesos_core::sharded::{Sharded, ShardedFifoMap};
 use pesos_core::{
     parse_policy_id, AsyncResult, ClientRequest, ClientResponse, ControllerConfig, HashedKey,
-    PesosController, PesosError, RequestEndpoint, TxOutcome, TxWrite,
+    PesosController, PesosError, RequestEndpoint, TransactionManager, TxOps, TxOutcome, TxWrite,
 };
 use pesos_crypto::Certificate;
 use pesos_kinetic::Payload;
@@ -22,9 +22,13 @@ use rand::{Rng, SeedableRng};
 
 use crate::replication::{LogRecord, Promotion, ReplicaSet};
 use crate::router::{HashRange, PartitionTable};
-use crate::twopc::ClusterTxManager;
 
 pub mod stats;
+
+/// High tag bit of every cluster-assigned transaction id, so a cluster
+/// transaction's merged outcome can never collide with a controller's own
+/// dense transaction ids in the per-controller outcome maps.
+pub const CLUSTER_TX_BIT: u64 = 1 << 63;
 
 /// Key of the per-partition replication log HMAC. Log frames never leave
 /// the process (each replica set ships only to its own backups), so one
@@ -331,8 +335,10 @@ impl PartitionLoad {
 ///
 /// # Cross-partition transactions
 ///
-/// Cluster transactions buffer operations here and commit through a
-/// two-phase protocol over the controllers' prepared-transaction hooks:
+/// Cluster transactions buffer operations in a [`TransactionManager`] of
+/// their own (ids tagged with [`CLUSTER_TX_BIT`]) and commit through a
+/// two-phase protocol over the controllers' prepared-transaction hooks,
+/// each branch preparing straight from its share of the buffered ops:
 /// every participant *prepares* (VLL locks taken, all policy checks run,
 /// reads executed) before any participant *commits* (writes applied), and
 /// branches are prepared in ascending partition order so two coordinators
@@ -404,7 +410,9 @@ pub struct ControllerCluster {
     /// otherwise exist only on the partitions present at install time, and
     /// removing the last original holder would lose them).
     policies: Mutex<BTreeSet<PolicyId>>,
-    tx: ClusterTxManager,
+    /// Open cluster transactions. Its table mutex is held only for a push
+    /// or remove, never nested.
+    tx: TransactionManager,
     async_ops: AsyncOps,
     next_async_id: AtomicU64,
     template: ControllerConfig,
@@ -473,7 +481,7 @@ impl ControllerCluster {
             request_baseline: Mutex::with_rank(lock_order::REQUEST_BASELINE, Vec::new()),
             clients: Mutex::with_rank(lock_order::CLUSTER_CLIENTS, BTreeSet::new()),
             policies: Mutex::with_rank(lock_order::CLUSTER_POLICIES, BTreeSet::new()),
-            tx: ClusterTxManager::new(),
+            tx: TransactionManager::with_id_tag(CLUSTER_TX_BIT),
             async_ops: AsyncOps::new(shards, config.controller.result_buffer_capacity),
             next_async_id: AtomicU64::new(1),
             template: config.controller,
@@ -1390,100 +1398,71 @@ impl ControllerCluster {
             .timer(OpKind::CommitTx, self.telemetry.enabled());
         self.require_client(client_id)?;
         let _gate = self.ops_gate.read();
-        let tx = self.tx.take(tx_id, client_id)?;
+        let TxOps { reads, writes } = self.tx.take(tx_id, client_id)?;
         let routing = self.routing.read().clone();
+        let (read_count, write_count) = (reads.len(), writes.len());
 
-        // Settle any in-flight migration for the touched keys first, so
-        // every branch prepares against the partition that owns the key
-        // under this snapshot.
+        // Split the ops into one branch per owning partition. Any in-flight
+        // migration for a touched key settles first, so every branch
+        // prepares against the partition that owns its keys under this
+        // snapshot.
+        struct Branch<'r> {
+            controller: &'r Arc<PesosController>,
+            ops: TxOps,
+            merge: Merge,
+        }
+        /// Where a branch's results go in the client's op order; the writes
+        /// are kept for the log (shared value buffers, no byte copies).
         #[derive(Default)]
-        struct Branch {
-            reads: Vec<(usize, String)>,
+        struct Merge {
+            reads: Vec<usize>,
             writes: Vec<(usize, TxWrite)>,
         }
-        let mut branches: BTreeMap<usize, Branch> = BTreeMap::new();
-        for (position, key) in tx.reads.iter().enumerate() {
+        let owner = |key: &str| {
             let hashed = HashedKey::new(key);
             self.pull_if_migrating(&routing, &hashed)?;
-            branches
-                .entry(routing.table.index_of(self.routing_hash(&hashed)))
-                .or_default()
-                .reads
-                .push((position, key.clone()));
-        }
-        for (position, write) in tx.writes.into_iter().enumerate() {
-            let hashed = HashedKey::new(&write.key);
-            self.pull_if_migrating(&routing, &hashed)?;
-            branches
-                .entry(routing.table.index_of(self.routing_hash(&hashed)))
-                .or_default()
-                .writes
-                .push((position, write));
-        }
-        let read_count = tx.reads.len();
-        let write_count: usize = branches.values().map(|b| b.writes.len()).sum();
-
-        // Open one local branch transaction per participant. BTreeMap
-        // iteration gives ascending partition order — the global prepare
-        // order that keeps concurrent coordinators deadlock-free. Any
-        // staging failure aborts every local transaction created so far,
-        // not just the failing branch's, so nothing lingers in the
-        // participants' transaction buffers. Write values are shared
-        // buffers, so staging them on a branch and logging them after
-        // commit copies no value bytes.
-        let participants: Vec<(Arc<PesosController>, u64, usize)> = {
-            let mut out: Vec<(Arc<PesosController>, u64, usize)> =
-                Vec::with_capacity(branches.len());
-            let mut failure: Option<PesosError> = None;
-            'staging: for (&partition, branch) in &branches {
-                // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-                let controller = Arc::clone(&routing.table.partitions()[partition].controller);
-                let local = match controller.create_tx(client_id) {
-                    Ok(local) => local,
-                    Err(e) => {
-                        failure = Some(e);
-                        break 'staging;
-                    }
-                };
-                out.push((Arc::clone(&controller), local, partition));
-                for (_, key) in &branch.reads {
-                    if let Err(e) = controller.add_read(client_id, local, key) {
-                        failure = Some(e);
-                        break 'staging;
-                    }
-                }
-                for (_, write) in &branch.writes {
-                    let value = write.value.clone();
-                    if let Err(e) = controller.add_write(client_id, local, &write.key, value) {
-                        failure = Some(e);
-                        break 'staging;
-                    }
-                }
-            }
-            if let Some(e) = failure {
-                for (controller, local, _) in &out {
-                    let _ = controller.abort_tx(client_id, *local);
-                }
-                return Err(e);
-            }
-            out
+            let hash = self.routing_hash(&hashed);
+            Ok::<_, PesosError>((routing.table.index_of(hash), routing.table.route(hash)))
         };
+        let new_branch = |controller| Branch {
+            controller,
+            ops: TxOps::default(),
+            merge: Merge::default(),
+        };
+        let mut branches: BTreeMap<usize, Branch<'_>> = BTreeMap::new();
+        for (position, key) in reads.into_iter().enumerate() {
+            let (index, controller) = owner(&key)?;
+            let branch = branches
+                .entry(index)
+                .or_insert_with(|| new_branch(controller));
+            branch.merge.reads.push(position);
+            branch.ops.reads.push(key);
+        }
+        for (position, write) in writes.into_iter().enumerate() {
+            let (index, controller) = owner(&write.key)?;
+            let branch = branches
+                .entry(index)
+                .or_insert_with(|| new_branch(controller));
+            branch.merge.writes.push((position, write.clone()));
+            branch.ops.writes.push(write);
+        }
 
-        // Phase one: prepare every branch; first failure aborts them all.
-        let mut prepared = Vec::with_capacity(participants.len());
-        for (index, (controller, local, _)) in participants.iter().enumerate() {
-            match controller.prepare_commit(client_id, *local) {
-                Ok(p) => prepared.push(p),
+        // Phase one: prepare every branch from its own ops, in ascending
+        // partition order (BTreeMap iteration) — the global prepare order
+        // that keeps concurrent coordinators deadlock-free. The first
+        // failure aborts every branch prepared so far.
+        let mut prepared = Vec::with_capacity(branches.len());
+        for Branch {
+            controller,
+            ops,
+            merge,
+        } in branches.into_values()
+        {
+            match controller.prepare_commit(client_id, ops) {
+                Ok(p) => prepared.push((controller, p, merge)),
                 Err(e) => {
-                    for (slot, p) in prepared.into_iter().enumerate() {
-                        // pesos-lint: allow(panic_freedom, "slot enumerates prepared, which is a prefix of participants")
-                        participants[slot].0.abort_prepared(p);
-                    }
-                    // Branches after the failing one were never prepared;
-                    // their local transactions were consumed by nothing, so
-                    // abort them to free the buffered state.
-                    for (controller, local, _) in participants.iter().skip(index + 1) {
-                        let _ = controller.abort_tx(client_id, *local);
+                    for (controller, p, _) in prepared {
+                        controller.abort_prepared(p);
                     }
                     return Err(e);
                 }
@@ -1494,32 +1473,33 @@ impl ControllerCluster {
         // order the client added the operations.
         let mut read_values: Vec<Option<Vec<u8>>> = vec![None; read_count];
         let mut write_versions: Vec<Option<u64>> = vec![None; write_count];
-        for (p, (controller, _, partition)) in prepared.into_iter().zip(participants.iter()) {
-            // pesos-lint: allow(panic_freedom, "partition keys come from iterating this branches map")
-            let branch = &branches[partition];
+        let mut participants = Vec::with_capacity(prepared.len());
+        for (controller, p, merge) in prepared {
             let outcome = controller.commit_prepared(p)?;
+            for (position, value) in merge.reads.into_iter().zip(outcome.read_values) {
+                if let Some(slot) = read_values.get_mut(position) {
+                    *slot = Some(value);
+                }
+            }
             // Applied branch writes enter the partition's log with their
             // committed versions, before the outcome (the client-visible
             // acknowledgement) is assembled below.
-            for ((_, write), version) in branch.writes.iter().zip(&outcome.write_versions) {
+            for ((position, write), version) in merge.writes.into_iter().zip(outcome.write_versions)
+            {
                 self.append_for(controller, || LogRecord::Put {
-                    key: write.key.clone(),
-                    value: write.value.clone(),
                     policy_id: write
                         .policy_id
                         .as_deref()
                         .and_then(|hex| parse_policy_id(hex).ok()),
-                    version: Some(*version),
+                    key: write.key,
+                    value: write.value,
+                    version: Some(version),
                 });
+                if let Some(slot) = write_versions.get_mut(position) {
+                    *slot = Some(version);
+                }
             }
-            for ((position, _), value) in branch.reads.iter().zip(outcome.read_values) {
-                // pesos-lint: allow(panic_freedom, "positions were assigned by enumerate over vectors sized to the operation counts")
-                read_values[*position] = Some(value);
-            }
-            for ((position, _), version) in branch.writes.iter().zip(outcome.write_versions) {
-                // pesos-lint: allow(panic_freedom, "positions were assigned by enumerate over vectors sized to the operation counts")
-                write_versions[*position] = Some(version);
-            }
+            participants.push(controller);
         }
         // Every buffered operation was routed to exactly one branch and
         // every branch outcome was merged above, so a gap is a routing
@@ -1539,21 +1519,15 @@ impl ControllerCluster {
         // File the merged outcome on every participant under the cluster
         // id, so check_results finds it no matter which partition is asked.
         // A transaction with no buffered operations has no participants;
-        // file its (empty) outcome on the first partition so a committed
-        // transaction is always queryable, as on a single controller.
+        // file its (empty) outcome on the partition owning hash 0 so a
+        // committed transaction is always queryable, as on a single
+        // controller. The outcome map is replicated too: a promoted backup
+        // resolves in-doubt cluster transactions from its copy, so
+        // check_results keeps answering after a participant fails over.
         if participants.is_empty() {
-            // pesos-lint: allow(panic_freedom, "partition index produced by or bounds-checked against this routing table")
-            let first = &routing.table.partitions()[0].controller;
-            first.record_tx_outcome(tx_id, outcome.clone());
-            self.append_for(first, || LogRecord::TxOutcome {
-                tx_id,
-                outcome: outcome.clone(),
-            });
+            participants.push(routing.table.route(0));
         }
-        // The outcome map is replicated too: a promoted backup resolves
-        // in-doubt cluster transactions from its copy, so check_results
-        // keeps answering after a participant fails over.
-        for (controller, _, _) in &participants {
+        for controller in participants {
             controller.record_tx_outcome(tx_id, outcome.clone());
             self.append_for(controller, || LogRecord::TxOutcome {
                 tx_id,
@@ -2632,7 +2606,6 @@ impl RequestEndpoint for ControllerCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::twopc::CLUSTER_TX_BIT;
 
     fn cluster(controllers: usize) -> ControllerCluster {
         ControllerCluster::new(ClusterConfig::native_simulator(controllers, 1)).unwrap()
@@ -2766,6 +2739,26 @@ mod tests {
         // The outcome is retained and queryable from the cluster.
         assert_eq!(c.check_results("alice", tx).unwrap(), outcome);
         assert_eq!(c.open_tx_count(), 0);
+        // Branches open no local transaction, so no branch fragment is
+        // filed under an untagged id: the cluster answers only for ids it
+        // issued, and each participant holds just the merged outcome.
+        for local in 1..=4 {
+            assert!(
+                matches!(
+                    c.check_results("alice", local),
+                    Err(PesosError::ResultUnavailable(_))
+                ),
+                "untagged id {local} answered with a branch fragment"
+            );
+        }
+        let controllers = c.controllers();
+        for key in [&a, &b] {
+            let participant = &controllers[c.partition_of(key)];
+            assert_eq!(participant.tx_outcome(tx), Some(outcome.clone()));
+            for local in 1..=4 {
+                assert_eq!(participant.tx_outcome(local), None);
+            }
+        }
     }
 
     #[test]
@@ -2779,13 +2772,15 @@ mod tests {
                 "read :- sessionKeyIs(\"alice\")\nupdate :- sessionKeyIs(\"alice\")\ndelete :- sessionKeyIs(\"alice\")",
             )
             .unwrap();
-        // One open key and one alice-only key on different partitions.
+        // One open key and one alice-only key on different partitions, the
+        // open one first in prepare order, so its branch prepares (takes
+        // its VLL locks) before the locked branch rejects the transaction.
         let keys: Vec<String> = (0..64).map(|i| format!("mix/{i}")).collect();
         let (open_key, locked_key) = {
             let mut found = None;
             'outer: for x in &keys {
                 for y in &keys {
-                    if c.partition_of(x) != c.partition_of(y) {
+                    if c.partition_of(x) < c.partition_of(y) {
                         found = Some((x.clone(), y.clone()));
                         break 'outer;
                     }
@@ -2814,6 +2809,29 @@ mod tests {
         // The partitions stay fully usable after the abort (locks freed).
         c.put("bob", &open_key, b"v1", None, None, &[]).unwrap();
         c.put("alice", &locked_key, b"v1", None, None, &[]).unwrap();
+        // Plain puts take no VLL locks; a transaction writing both keys
+        // does, so it only commits if the aborted branches released theirs.
+        // It runs on a thread so a leaked lock fails the test, not hangs it.
+        let c = Arc::new(c);
+        let (done, finished) = std::sync::mpsc::channel();
+        let follow_up = {
+            let c = Arc::clone(&c);
+            let (open_key, locked_key) = (open_key.clone(), locked_key.clone());
+            std::thread::spawn(move || {
+                let tx = c.create_tx("alice").unwrap();
+                c.add_write("alice", tx, &open_key, b"v2".to_vec()).unwrap();
+                c.add_write("alice", tx, &locked_key, b"v2".to_vec())
+                    .unwrap();
+                let _ = done.send(c.commit_tx("alice", tx));
+            })
+        };
+        let committed = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("follow-up transaction blocked on a leaked VLL lock");
+        follow_up.join().unwrap();
+        assert_eq!(committed.unwrap().write_versions.len(), 2);
+        assert_eq!(&**c.get("bob", &open_key, &[]).unwrap().0, b"v2");
+        assert_eq!(&**c.get("alice", &locked_key, &[]).unwrap().0, b"v2");
     }
 
     #[test]

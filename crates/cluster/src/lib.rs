@@ -18,17 +18,18 @@
 //! single-controller store layout (and everything sealed or MAC'd) is
 //! untouched by how the cluster routes.
 //!
-//! Three pieces:
+//! The pieces:
 //!
 //! * [`router`] — contiguous hash-range partitioning and the immutable
 //!   routing table.
-//! * [`twopc`] — cluster transaction buffering; commits run a two-phase
-//!   protocol over the controllers' prepared-transaction hooks, so a
-//!   transaction spanning partitions is atomic (any partition's policy
-//!   rejection aborts the whole thing before a single write) and its
-//!   outcome is queryable from any router.
 //! * [`cluster`] — the cluster itself: request routing, session mirroring,
-//!   REST dispatch, per-partition SGX cost reporting, and *online*,
+//!   REST dispatch, per-partition SGX cost reporting, cluster transactions
+//!   (buffered in a tagged-id [`pesos_core::TransactionManager`] and
+//!   committed by a two-phase protocol over the controllers'
+//!   prepared-transaction hooks, so a transaction spanning partitions is
+//!   atomic — any partition's policy rejection aborts the whole thing
+//!   before a single write — and its outcome is queryable from any
+//!   router), and *online*,
 //!   load-aware topology change — `add_controller` splits the most loaded
 //!   partition at a weighted split point and `remove_controller` merges
 //!   into the lighter neighbour, migrating only the affected hash range:
@@ -50,10 +51,10 @@
 pub mod cluster;
 pub mod replication;
 pub mod router;
-pub mod twopc;
 
 pub use cluster::stats::{MigrationTelemetry, PartitionTelemetry, TelemetrySnapshot};
-pub use cluster::{ClusterConfig, ControllerCluster, PartitionCostReport, RetryStats};
+pub use cluster::{
+    ClusterConfig, ControllerCluster, PartitionCostReport, RetryStats, CLUSTER_TX_BIT,
+};
 pub use replication::{LogRecord, Promotion, ReplicaSet, ReplicationStats};
 pub use router::{HashRange, Partition, PartitionTable};
-pub use twopc::CLUSTER_TX_BIT;

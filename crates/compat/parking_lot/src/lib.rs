@@ -90,12 +90,10 @@ pub mod lock_order {
     pub const SESSION_SHARD: u16 = 66;
     /// Generic sharded FIFO maps (sharded, index = shard).
     pub const FIFO_SHARD: u16 = 68;
-    /// Controller transaction table.
+    /// Transaction table (a controller's, or the cluster's 2PC buffer).
     pub const TX_TABLE: u16 = 70;
     /// Controller transaction key-intent registry.
     pub const TX_LOCKS: u16 = 72;
-    /// Cluster 2PC open-transaction buffer.
-    pub const CLUSTER_TX: u16 = 74;
     /// Controller result buffer (committed-outcome retention).
     pub const RESULT_BUFFER: u16 = 76;
     /// Replication log mutex (`ReplicaSet::inner`).
@@ -153,7 +151,6 @@ pub mod lock_order {
         (FIFO_SHARD, "FIFO_SHARD"),
         (TX_TABLE, "TX_TABLE"),
         (TX_LOCKS, "TX_LOCKS"),
-        (CLUSTER_TX, "CLUSTER_TX"),
         (RESULT_BUFFER, "RESULT_BUFFER"),
         (REPLICATION_LOG, "REPLICATION_LOG"),
         (REPLICATION_WORKERS, "REPLICATION_WORKERS"),

@@ -29,7 +29,7 @@ use crate::request::{ClientRequest, ClientResponse};
 use crate::result_buffer::{AsyncResult, ResultBuffer};
 use crate::session::SessionManager;
 use crate::store::PesosStore;
-use crate::transaction::{TransactionManager, TxOutcome, TxWrite};
+use crate::transaction::{TransactionManager, TxOps, TxOutcome, TxWrite};
 
 /// Suffix used to derive an object's associated log key for MAL policies.
 pub const LOG_SUFFIX: &str = ".log";
@@ -54,8 +54,8 @@ struct PreparedWrite {
     content_hash: pesos_crypto::Digest,
 }
 
-/// A transaction that passed validation with all of its locks held — the
-/// controller-level "prepared" state of a two-phase commit.
+/// Transaction operations that passed validation with all of their locks
+/// held — the controller-level "prepared" state of a two-phase commit.
 ///
 /// Produced by [`PesosController::prepare_commit`]: every policy check has
 /// passed and every buffered read has executed, but no write has touched
@@ -65,16 +65,8 @@ struct PreparedWrite {
 /// the locks without writing (the abort metric is then not bumped).
 pub struct PreparedCommit<'a> {
     prepared: crate::transaction::PreparedTransaction<'a>,
-    tx_id: u64,
     read_values: Vec<Vec<u8>>,
     write_plan: Vec<PreparedWrite>,
-}
-
-impl PreparedCommit<'_> {
-    /// The transaction identifier this prepared state belongs to.
-    pub fn tx_id(&self) -> u64 {
-        self.tx_id
-    }
 }
 
 /// The Pesos controller.
@@ -611,44 +603,53 @@ impl PesosController {
     /// read and write. All writes are applied atomically with respect to
     /// other transactions on the same keys.
     ///
-    /// This is [`PesosController::prepare_commit`] followed immediately by
-    /// [`PesosController::commit_prepared`] — the single-controller
-    /// degenerate case of the two-phase protocol the cluster layer runs
-    /// across partitions.
+    /// This takes the buffered ops, then runs
+    /// [`PesosController::prepare_commit`] and
+    /// [`PesosController::commit_prepared`] back to back — the
+    /// single-controller degenerate case of the two-phase protocol the
+    /// cluster layer runs across partitions — and files the outcome under
+    /// `tx_id`.
     pub fn commit_tx(&self, client_id: &str, tx_id: u64) -> Result<TxOutcome, PesosError> {
         let _timer = self.op_timer(OpKind::CommitTx);
-        let prepared = self.prepare_commit(client_id, tx_id)?;
-        self.commit_prepared(prepared)
-    }
-
-    /// Phase one of a two-phase commit: takes the transaction's VLL locks,
-    /// runs every policy check and executes every buffered read — all the
-    /// validation that can abort the transaction — without applying any
-    /// write.
-    ///
-    /// On success the locks stay held inside the returned
-    /// [`PreparedCommit`]; a distributed coordinator prepares every
-    /// participant before committing any of them, so one partition's policy
-    /// rejection aborts the whole transaction with no partition having
-    /// written. On failure the locks are released and the abort metric is
-    /// bumped.
-    pub fn prepare_commit(
-        &self,
-        client_id: &str,
-        tx_id: u64,
-    ) -> Result<PreparedCommit<'_>, PesosError> {
+        // Checked before `take` too, so a sessionless commit leaves the
+        // transaction buffered and fails as `NoSession`, like every other
+        // transaction call.
         self.require_session(client_id)?;
-        let prepared = match self.transactions.prepare(tx_id, client_id) {
-            Ok(p) => p,
+        let ops = match self.transactions.take(tx_id, client_id) {
+            Ok(ops) => ops,
             Err(e) => {
                 ControllerMetrics::bump(&self.metrics.tx_aborted);
                 return Err(e);
             }
         };
+        let prepared = self.prepare_commit(client_id, ops)?;
+        let outcome = self.commit_prepared(prepared)?;
+        self.tx_outcomes.insert(tx_id, outcome.clone());
+        Ok(outcome)
+    }
+
+    /// Phase one of a two-phase commit: takes the VLL locks of `ops`, runs
+    /// every policy check and executes every read — all the validation
+    /// that can abort the transaction — without applying any write.
+    ///
+    /// `ops` are a local transaction's buffered ops or, under the cluster
+    /// coordinator, one partition's branch of a cluster transaction; either
+    /// way no local transaction id is involved. On success the locks stay
+    /// held inside the returned [`PreparedCommit`]; a distributed
+    /// coordinator prepares every participant before committing any of
+    /// them, so one partition's policy rejection aborts the whole
+    /// transaction with no partition having written. On failure the locks
+    /// are released and the abort metric is bumped.
+    pub fn prepare_commit(
+        &self,
+        client_id: &str,
+        ops: TxOps,
+    ) -> Result<PreparedCommit<'_>, PesosError> {
+        self.require_session(client_id)?;
+        let prepared = self.transactions.lock(ops);
         match self.validate_prepared(client_id, &prepared) {
             Ok((read_values, write_plan)) => Ok(PreparedCommit {
                 prepared,
-                tx_id,
                 read_values,
                 write_plan,
             }),
@@ -705,8 +706,10 @@ impl PesosController {
     }
 
     /// Phase two of a two-phase commit: applies the prepared writes under
-    /// the locks taken in phase one, records the outcome under the
-    /// transaction id and releases the locks.
+    /// the locks taken in phase one, releases the locks and returns the
+    /// outcome. Filing the outcome is the caller's job: the controller
+    /// files it under its own transaction id, the cluster coordinator files
+    /// the merged outcome under the cluster id.
     ///
     /// A failure here is a backend failure (validation already passed in
     /// phase one); writes applied before the failing one remain, exactly as
@@ -714,7 +717,6 @@ impl PesosController {
     pub fn commit_prepared(&self, prepared: PreparedCommit<'_>) -> Result<TxOutcome, PesosError> {
         let PreparedCommit {
             prepared,
-            tx_id,
             read_values,
             write_plan,
         } = prepared;
@@ -741,7 +743,6 @@ impl PesosController {
         }
         drop(prepared); // release the VLL locks
         ControllerMetrics::bump(&self.metrics.tx_committed);
-        self.tx_outcomes.insert(tx_id, outcome.clone());
         Ok(outcome)
     }
 

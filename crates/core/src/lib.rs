@@ -48,7 +48,7 @@ pub use result_buffer::{AsyncResult, ResultBuffer};
 pub use session::{SessionContext, SessionManager};
 pub use sharded::{ShardKey, Sharded};
 pub use store::{ObjectExport, PesosStore, StoreOptions};
-pub use transaction::{PreparedTransaction, TransactionManager, TxOutcome, TxWrite};
+pub use transaction::{PreparedTransaction, TransactionManager, TxOps, TxOutcome, TxWrite};
 
 pub use pesos_kinetic::{DriveConfig, DriveSet, KineticDrive};
 pub use pesos_policy::Operation;

@@ -5,9 +5,17 @@
 //! all of its keys before executing; if every lock is free it executes
 //! immediately, otherwise it waits in a queue and VLL's ordering guarantees
 //! that by the time it reaches the front all of its keys are unlocked.
-//! Distributed transactions are explicitly out of scope, and
+//! Distributed transactions are out of scope in the paper, and
 //! non-transactional accesses to the same keys are permitted (their outcome
 //! relative to a concurrent transaction is unspecified, as in the paper).
+//!
+//! The buffer has two users. Each controller buffers its own transactions
+//! here and commits them as `take` → `lock` → apply. The cluster
+//! coordinator (`pesos-cluster`) buffers cross-partition transactions in a
+//! second manager whose ids carry a tag bit; at commit it takes the ops,
+//! splits them by owning partition and hands each branch's ops straight to
+//! that partition's [`TransactionManager::lock`], so a branch never opens a
+//! transaction of its own.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,11 +30,21 @@ use crate::error::PesosError;
 pub struct TxWrite {
     /// Object key.
     pub key: String,
-    /// New value, shared so a coordinator can stage it on a branch and log
+    /// New value, shared so a coordinator can hand it to a branch and log
     /// it after commit without copying.
     pub value: Payload,
     /// Policy to associate, encoded as the hex policy id.
     pub policy_id: Option<String>,
+}
+
+/// The buffered operations of a transaction, or of one partition's branch
+/// of a cluster transaction.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TxOps {
+    /// Keys read, in the order the reads were added.
+    pub reads: Vec<String>,
+    /// Writes, in the order they were added.
+    pub writes: Vec<TxWrite>,
 }
 
 /// The outcome of a committed transaction.
@@ -38,11 +56,9 @@ pub struct TxOutcome {
     pub read_values: Vec<Vec<u8>>,
 }
 
-#[derive(Debug, Default)]
 struct Transaction {
     owner: String,
-    reads: Vec<String>,
-    writes: Vec<TxWrite>,
+    ops: TxOps,
 }
 
 #[derive(Default)]
@@ -51,12 +67,15 @@ struct LockTable {
     /// per-key structure rather than the database tuple itself).
     exclusive: HashMap<String, u64>,
     shared: HashMap<String, u64>,
-    /// Queue of blocked transaction ids, oldest first.
+    /// Queue of blocked lock requests by ticket, oldest first.
     queue: VecDeque<u64>,
+    next_ticket: u64,
 }
 
-/// The transaction manager.
+/// The transaction manager: the open-transaction buffer plus the VLL lock
+/// table.
 pub struct TransactionManager {
+    id_tag: u64,
     next_id: AtomicU64,
     transactions: Mutex<HashMap<u64, Transaction>>,
     locks: Mutex<LockTable>,
@@ -70,9 +89,17 @@ impl Default for TransactionManager {
 }
 
 impl TransactionManager {
-    /// Creates an empty manager.
+    /// Creates an empty manager with dense, untagged ids.
     pub fn new() -> Self {
+        Self::with_id_tag(0)
+    }
+
+    /// Creates an empty manager whose every id has the bits of `tag` set,
+    /// so its ids can never collide with an untagged manager's in a shared
+    /// outcome map.
+    pub fn with_id_tag(tag: u64) -> Self {
         TransactionManager {
+            id_tag: tag,
             next_id: AtomicU64::new(1),
             transactions: Mutex::with_rank(parking_lot::lock_order::TX_TABLE, HashMap::new()),
             locks: Mutex::with_rank(parking_lot::lock_order::TX_LOCKS, LockTable::default()),
@@ -82,12 +109,12 @@ impl TransactionManager {
 
     /// Begins a transaction for `owner` and returns its handle.
     pub fn create(&self, owner: &str) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst) | self.id_tag;
         self.transactions.lock().insert(
             id,
             Transaction {
                 owner: owner.to_string(),
-                ..Transaction::default()
+                ops: TxOps::default(),
             },
         );
         id
@@ -102,7 +129,7 @@ impl TransactionManager {
         &self,
         id: u64,
         owner: &str,
-        f: impl FnOnce(&mut Transaction) -> R,
+        f: impl FnOnce(&mut TxOps) -> R,
     ) -> Result<R, PesosError> {
         let mut txs = self.transactions.lock();
         let tx = txs
@@ -113,98 +140,70 @@ impl TransactionManager {
                 "transaction owned by a different client".into(),
             ));
         }
-        Ok(f(tx))
+        Ok(f(&mut tx.ops))
     }
 
     /// Adds a read to the transaction.
     pub fn add_read(&self, id: u64, owner: &str, key: &str) -> Result<(), PesosError> {
-        self.with_tx(id, owner, |tx| tx.reads.push(key.to_string()))
+        self.with_tx(id, owner, |ops| ops.reads.push(key.to_string()))
     }
 
     /// Adds a write to the transaction.
     pub fn add_write(&self, id: u64, owner: &str, write: TxWrite) -> Result<(), PesosError> {
-        self.with_tx(id, owner, |tx| tx.writes.push(write))
+        self.with_tx(id, owner, |ops| ops.writes.push(write))
     }
 
     /// Aborts and discards the transaction.
     pub fn abort(&self, id: u64, owner: &str) -> Result<(), PesosError> {
+        self.take(id, owner).map(drop)
+    }
+
+    /// Removes the transaction from the buffer and returns its reads and
+    /// writes, for committing. A transaction owned by someone else stays
+    /// buffered untouched.
+    pub fn take(&self, id: u64, owner: &str) -> Result<TxOps, PesosError> {
         let mut txs = self.transactions.lock();
-        match txs.get(&id) {
-            Some(tx) if tx.owner == owner => {
-                txs.remove(&id);
-                Ok(())
+        match txs.remove(&id) {
+            Some(tx) if tx.owner == owner => Ok(tx.ops),
+            Some(tx) => {
+                txs.insert(id, tx);
+                Err(PesosError::TransactionAborted(
+                    "transaction owned by a different client".into(),
+                ))
             }
-            Some(_) => Err(PesosError::TransactionAborted(
-                "transaction owned by a different client".into(),
-            )),
             None => Err(PesosError::TransactionAborted(format!(
                 "unknown transaction {id}"
             ))),
         }
     }
 
-    /// Takes ownership of the transaction and acquires all of its locks
-    /// (waiting VLL-style if any are busy), returning a guard that holds
-    /// them until it is dropped.
+    /// Acquires the locks of `ops` (waiting VLL-style if any are busy) and
+    /// returns a guard that holds them until it is dropped.
     ///
     /// This is the first phase of a two-phase commit: a distributed
-    /// coordinator prepares one branch per participant, and only when every
+    /// coordinator locks one branch per participant, and only when every
     /// branch is prepared (locks held, validation passed) are the writes
     /// applied. Dropping the guard releases the locks, so an abort after a
     /// failed sibling branch is just dropping the prepared guards.
     ///
-    /// Deadlock discipline: a coordinator preparing branches on several
-    /// managers must prepare them in one globally consistent order (the
+    /// Deadlock discipline: a coordinator locking branches on several
+    /// managers must lock them in one globally consistent order (the
     /// cluster layer uses ascending partition index); VLL's queue prevents
     /// cycles within one manager but not across managers.
-    pub fn prepare(&self, id: u64, owner: &str) -> Result<PreparedTransaction<'_>, PesosError> {
-        let tx = {
-            let mut txs = self.transactions.lock();
-            match txs.remove(&id) {
-                Some(tx) if tx.owner == owner => tx,
-                Some(tx) => {
-                    // Wrong owner: put the transaction back untouched.
-                    txs.insert(id, tx);
-                    return Err(PesosError::TransactionAborted(
-                        "transaction owned by a different client".into(),
-                    ));
-                }
-                None => {
-                    return Err(PesosError::TransactionAborted(format!(
-                        "unknown transaction {id}"
-                    )))
-                }
-            }
-        };
-
-        self.acquire_locks(id, &tx);
-        Ok(PreparedTransaction {
-            manager: self,
-            tx: Some(tx),
-        })
+    pub fn lock(&self, ops: TxOps) -> PreparedTransaction<'_> {
+        self.acquire_locks(&ops);
+        PreparedTransaction { manager: self, ops }
     }
 
-    /// Commits the transaction: acquires all locks (waiting VLL-style if any
-    /// are busy), runs `apply` with the buffered reads and writes, releases
-    /// the locks and returns the outcome produced by `apply`.
-    pub fn commit<F>(&self, id: u64, owner: &str, apply: F) -> Result<TxOutcome, PesosError>
-    where
-        F: FnOnce(&[String], &[TxWrite]) -> Result<TxOutcome, PesosError>,
-    {
-        let prepared = self.prepare(id, owner)?;
-        apply(prepared.reads(), prepared.writes())
-        // `prepared` drops here, releasing the locks.
-    }
-
-    fn keys_free(table: &LockTable, tx: &Transaction) -> bool {
-        for key in &tx.writes {
+    fn keys_free(table: &LockTable, ops: &TxOps) -> bool {
+        for key in &ops.writes {
             if table.exclusive.get(&key.key).copied().unwrap_or(0) > 0
                 || table.shared.get(&key.key).copied().unwrap_or(0) > 0
             {
                 return false;
             }
         }
-        for key in &tx.reads {
+        for key in &ops.reads {
             if table.exclusive.get(key).copied().unwrap_or(0) > 0 {
                 return false;
             }
@@ -212,43 +211,45 @@ impl TransactionManager {
         true
     }
 
-    fn acquire_locks(&self, id: u64, tx: &Transaction) {
+    fn acquire_locks(&self, ops: &TxOps) {
         let mut table = self.locks.lock();
-        if Self::keys_free(&table, tx) && table.queue.is_empty() {
-            Self::grab(&mut table, tx);
+        if Self::keys_free(&table, ops) && table.queue.is_empty() {
+            Self::grab(&mut table, ops);
             return;
         }
         // Blocked: wait until we are at the front of the queue and our keys
         // are free (VLL guarantees this eventually holds).
-        table.queue.push_back(id);
+        let ticket = table.next_ticket;
+        table.next_ticket += 1;
+        table.queue.push_back(ticket);
         loop {
-            let at_front = table.queue.front() == Some(&id);
-            if at_front && Self::keys_free(&table, tx) {
+            let at_front = table.queue.front() == Some(&ticket);
+            if at_front && Self::keys_free(&table, ops) {
                 table.queue.pop_front();
-                Self::grab(&mut table, tx);
+                Self::grab(&mut table, ops);
                 return;
             }
             self.unblocked.wait(&mut table);
         }
     }
 
-    fn grab(table: &mut LockTable, tx: &Transaction) {
-        for w in &tx.writes {
+    fn grab(table: &mut LockTable, ops: &TxOps) {
+        for w in &ops.writes {
             *table.exclusive.entry(w.key.clone()).or_insert(0) += 1;
         }
-        for r in &tx.reads {
+        for r in &ops.reads {
             *table.shared.entry(r.clone()).or_insert(0) += 1;
         }
     }
 
-    fn release_locks(&self, tx: &Transaction) {
+    fn release_locks(&self, ops: &TxOps) {
         let mut table = self.locks.lock();
-        for w in &tx.writes {
+        for w in &ops.writes {
             if let Some(c) = table.exclusive.get_mut(&w.key) {
                 *c = c.saturating_sub(1);
             }
         }
-        for r in &tx.reads {
+        for r in &ops.reads {
             if let Some(c) = table.shared.get_mut(r) {
                 *c = c.saturating_sub(1);
             }
@@ -257,42 +258,31 @@ impl TransactionManager {
     }
 }
 
-/// A transaction whose locks are held (two-phase-commit "prepared" state).
+/// Operations whose locks are held (two-phase-commit "prepared" state).
 ///
-/// Produced by [`TransactionManager::prepare`]; the locks are released when
+/// Produced by [`TransactionManager::lock`]; the locks are released when
 /// the guard is dropped, whether the coordinator committed or aborted, so a
 /// panic or early return cannot strand a VLL queue.
 pub struct PreparedTransaction<'a> {
     manager: &'a TransactionManager,
-    tx: Option<Transaction>,
+    ops: TxOps,
 }
 
 impl PreparedTransaction<'_> {
-    /// The buffered read keys, in the order they were added.
-    ///
-    /// `tx` is `None` only after `Drop` took it, which cannot overlap a
-    /// live borrow; the empty fallback keeps the accessor panic-free.
+    /// The locked read keys, in the order they were added.
     pub fn reads(&self) -> &[String] {
-        match &self.tx {
-            Some(tx) => &tx.reads,
-            None => &[],
-        }
+        &self.ops.reads
     }
 
-    /// The buffered writes, in the order they were added.
+    /// The locked writes, in the order they were added.
     pub fn writes(&self) -> &[TxWrite] {
-        match &self.tx {
-            Some(tx) => &tx.writes,
-            None => &[],
-        }
+        &self.ops.writes
     }
 }
 
 impl Drop for PreparedTransaction<'_> {
     fn drop(&mut self) {
-        if let Some(tx) = self.tx.take() {
-            self.manager.release_locks(&tx);
-        }
+        self.manager.release_locks(&self.ops);
     }
 }
 
@@ -300,6 +290,21 @@ impl Drop for PreparedTransaction<'_> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// The single-controller commit shape over the two public steps:
+    /// take the buffered ops, lock them, run `apply`, release on return.
+    fn commit<F>(
+        mgr: &TransactionManager,
+        id: u64,
+        owner: &str,
+        apply: F,
+    ) -> Result<TxOutcome, PesosError>
+    where
+        F: FnOnce(&[String], &[TxWrite]) -> Result<TxOutcome, PesosError>,
+    {
+        let prepared = mgr.lock(mgr.take(id, owner)?);
+        apply(prepared.reads(), prepared.writes())
+    }
 
     #[test]
     fn create_add_commit_flow() {
@@ -316,22 +321,19 @@ mod tests {
         )
         .unwrap();
         mgr.add_read(id, "alice", "b").unwrap();
-        let outcome = mgr
-            .commit(id, "alice", |reads, writes| {
-                assert_eq!(reads, &["b".to_string()]);
-                assert_eq!(writes.len(), 1);
-                Ok(TxOutcome {
-                    write_versions: vec![0],
-                    read_values: vec![b"existing".to_vec()],
-                })
+        let outcome = commit(&mgr, id, "alice", |reads, writes| {
+            assert_eq!(reads, &["b".to_string()]);
+            assert_eq!(writes.len(), 1);
+            Ok(TxOutcome {
+                write_versions: vec![0],
+                read_values: vec![b"existing".to_vec()],
             })
-            .unwrap();
+        })
+        .unwrap();
         assert_eq!(outcome.write_versions, vec![0]);
         assert_eq!(mgr.open_count(), 0);
         // Committing twice fails.
-        assert!(mgr
-            .commit(id, "alice", |_, _| Ok(TxOutcome::default()))
-            .is_err());
+        assert!(commit(&mgr, id, "alice", |_, _| Ok(TxOutcome::default())).is_err());
     }
 
     #[test]
@@ -340,9 +342,7 @@ mod tests {
         let id = mgr.create("alice");
         assert!(mgr.add_read(id, "bob", "x").is_err());
         assert!(mgr.abort(id, "bob").is_err());
-        assert!(mgr
-            .commit(id, "bob", |_, _| Ok(TxOutcome::default()))
-            .is_err());
+        assert!(commit(&mgr, id, "bob", |_, _| Ok(TxOutcome::default())).is_err());
         mgr.abort(id, "alice").unwrap();
         assert!(mgr.abort(id, "alice").is_err());
     }
@@ -361,9 +361,10 @@ mod tests {
             },
         )
         .unwrap();
-        let err = mgr
-            .commit(id, "c", |_, _| Err(PesosError::PolicyDenied("no".into())))
-            .unwrap_err();
+        let err = commit(&mgr, id, "c", |_, _| {
+            Err(PesosError::PolicyDenied("no".into()))
+        })
+        .unwrap_err();
         assert!(matches!(err, PesosError::PolicyDenied(_)));
         // A later transaction on the same key is not blocked forever.
         let id2 = mgr.create("c");
@@ -377,8 +378,7 @@ mod tests {
             },
         )
         .unwrap();
-        mgr.commit(id2, "c", |_, _| Ok(TxOutcome::default()))
-            .unwrap();
+        commit(&mgr, id2, "c", |_, _| Ok(TxOutcome::default())).unwrap();
     }
 
     #[test]
@@ -401,7 +401,7 @@ mod tests {
                     },
                 )
                 .unwrap();
-                mgr.commit(id, "worker", |_, writes| {
+                commit(&mgr, id, "worker", |_, writes| {
                     // Critical section: no other transaction holding the key
                     // may interleave here.
                     let mut guard = counter.lock();
@@ -432,7 +432,7 @@ mod tests {
             },
         )
         .unwrap();
-        let prepared = mgr.prepare(a, "c").unwrap();
+        let prepared = mgr.lock(mgr.take(a, "c").unwrap());
         assert_eq!(prepared.writes().len(), 1);
         assert!(prepared.reads().is_empty());
         // A second transaction on the same key blocks until the prepared
@@ -450,15 +450,15 @@ mod tests {
         .unwrap();
         let mgr2 = Arc::clone(&mgr);
         let handle =
-            std::thread::spawn(move || mgr2.commit(b, "c", |_, _| Ok(TxOutcome::default())));
+            std::thread::spawn(move || commit(&mgr2, b, "c", |_, _| Ok(TxOutcome::default())));
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!handle.is_finished(), "locks released before drop");
         drop(prepared);
         handle.join().unwrap().unwrap();
-        // Preparing an unknown or foreign transaction fails like commit.
-        assert!(mgr.prepare(a, "c").is_err());
+        // Taking an unknown or foreign transaction fails like commit.
+        assert!(mgr.take(a, "c").is_err());
         let c = mgr.create("owner");
-        assert!(mgr.prepare(c, "other").is_err());
+        assert!(mgr.take(c, "other").is_err());
     }
 
     #[test]
@@ -487,7 +487,36 @@ mod tests {
         )
         .unwrap();
         // Commit b while a is still open: must not deadlock.
-        mgr.commit(b, "x", |_, _| Ok(TxOutcome::default())).unwrap();
-        mgr.commit(a, "x", |_, _| Ok(TxOutcome::default())).unwrap();
+        commit(&mgr, b, "x", |_, _| Ok(TxOutcome::default())).unwrap();
+        commit(&mgr, a, "x", |_, _| Ok(TxOutcome::default())).unwrap();
+    }
+
+    #[test]
+    fn tagged_ids_carry_the_tag() {
+        let tag = 1 << 63;
+        let mgr = TransactionManager::with_id_tag(tag);
+        let id = mgr.create("alice");
+        assert_eq!(id & tag, tag);
+        assert_eq!(mgr.open_count(), 1);
+        assert_eq!(TransactionManager::new().create("alice") & tag, 0);
+    }
+
+    #[test]
+    fn take_returns_the_buffered_ops_once() {
+        let mgr = TransactionManager::new();
+        let id = mgr.create("alice");
+        mgr.add_read(id, "alice", "a").unwrap();
+        let write = TxWrite {
+            key: "b".into(),
+            value: vec![1].into(),
+            policy_id: None,
+        };
+        mgr.add_write(id, "alice", write.clone()).unwrap();
+        assert!(mgr.take(id, "bob").is_err());
+        let ops = mgr.take(id, "alice").unwrap();
+        assert_eq!(ops.reads, vec!["a".to_string()]);
+        assert_eq!(ops.writes, vec![write]);
+        assert!(mgr.take(id, "alice").is_err());
+        assert_eq!(mgr.open_count(), 0);
     }
 }

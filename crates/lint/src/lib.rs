@@ -676,15 +676,6 @@ const SCOPED_FAMILIES: &[(&str, &str, Family)] = &[
         },
     ),
     (
-        "cluster/src/twopc.rs",
-        "open",
-        Family {
-            rank: ranks::CLUSTER_TX,
-            name: "CLUSTER_TX",
-            sharded: false,
-        },
-    ),
-    (
         "core/src/store.rs",
         "shards",
         Family {

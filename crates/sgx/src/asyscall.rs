@@ -195,8 +195,8 @@ impl<T> Drop for CompletionFiller<T> {
 pub struct CompletionPoolStats {
     /// Calls served from a recycled completion cell.
     pub reused: u64,
-    /// Calls that had to allocate a fresh cell (pool empty, or the service
-    /// thread was still releasing its reference when the waiter finished).
+    /// Calls that had to allocate a fresh cell (no parked cell, or every
+    /// parked cell's service thread was still releasing its reference).
     pub allocated: u64,
 }
 
@@ -212,10 +212,10 @@ pub struct CompletionPoolStats {
 /// allocation-free — the slot-table discipline Scone applies to syscall
 /// arguments, applied to completions.
 ///
-/// A cell is only recycled when the waiter observes itself as the last
-/// holder; if the service thread is still mid-release the cell is dropped
-/// instead (counted under `allocated` on the next call), so a recycled cell
-/// can never be written by a straggling producer.
+/// Released cells are parked even while the service thread still holds
+/// its clone (it drops it just after notifying the waiter), but a parked
+/// cell is only reused once the pool holds its last reference, so a
+/// recycled cell can never be written by a straggling producer.
 pub struct CompletionPool<T> {
     capacity: usize,
     free: Mutex<Vec<Arc<CompletionState<T>>>>,
@@ -245,7 +245,15 @@ impl<T> CompletionPool<T> {
     }
 
     fn acquire(&self) -> Arc<CompletionState<T>> {
-        if let Some(state) = self.free.lock().pop() {
+        // Reuse only a cell whose filler's clone is gone: a unique reference
+        // proves no producer can touch it again, and nothing can clone a
+        // parked cell, so the count cannot rise after this check.
+        let recycled = {
+            let mut free = self.free.lock();
+            let unique = free.iter().rposition(|s| Arc::strong_count(s) == 1);
+            unique.map(|i| free.swap_remove(i))
+        };
+        if let Some(state) = recycled {
             self.reused.fetch_add(1, Ordering::Relaxed);
             state.reset();
             return state;
@@ -255,13 +263,9 @@ impl<T> CompletionPool<T> {
     }
 
     fn release(&self, state: Arc<CompletionState<T>>) {
-        // Recycle only when the filler's clone is gone: a unique reference
-        // proves no producer can touch the cell again.
-        if Arc::strong_count(&state) == 1 {
-            let mut free = self.free.lock();
-            if free.len() < self.capacity {
-                free.push(state);
-            }
+        let mut free = self.free.lock();
+        if free.len() < self.capacity {
+            free.push(state);
         }
     }
 }
